@@ -875,7 +875,34 @@ let gate_measure () : gate_app list * float =
   in
   (apps, Clock.since_s t0)
 
-let gate_section apps total_s detect_eps incr serve fleet store pgo train =
+(* Minor words [Passes.optimize] allocates over every method of the
+   evaluation apps, on the calling domain (HGraph construction excluded).
+   A pure function of the IR and the compiler, so the gate holds it to an
+   exact ceiling. *)
+let passes_alloc_words () =
+  let words = ref 0. in
+  List.iter
+    (fun (p : Appgen.profile) ->
+      let a = Appgen.generate p in
+      List.iter
+        (fun m ->
+          let g = Calibro_hgraph.Hgraph.of_method m in
+          let w0 = Gc.minor_words () in
+          ignore (Calibro_hgraph.Passes.optimize g);
+          words := !words +. (Gc.minor_words () -. w0))
+        (Calibro_dex.Dex_ir.methods_of_apk a.Appgen.app))
+    Apps.all;
+  int_of_float !words
+
+(* The committed ceiling, if [path] holds a baseline with one. *)
+let passes_alloc_ceiling doc =
+  Option.bind
+    (Option.bind (Json.member "hgraph" doc)
+       (Json.member "passes_alloc_words_ceiling"))
+    Json.get_int
+
+let gate_section apps total_s detect_eps ir_words incr serve fleet store pgo
+    train =
   Json.Obj
     [ ( "apps",
         Json.Obj
@@ -888,6 +915,7 @@ let gate_section apps total_s detect_eps incr serve fleet store pgo train =
                      ("reduction_pl", Json.Float (gate_reduction g)) ] ))
              apps) );
       ("total_build_s", Json.Float total_s);
+      ("hgraph", Json.Obj [ ("passes_alloc_words", Json.Int ir_words) ]);
       ("detect_elements_per_s", Json.Float detect_eps);
       ( "incr",
         Json.Obj
@@ -910,6 +938,24 @@ let envelope_slack = 3.0
 
 let write_baseline path =
   let apps, total_s = gate_measure () in
+  Printf.eprintf "[gate] counting IR-pass allocation...\n%!";
+  let ir_words = passes_alloc_words () in
+  (* The allocation ceiling only goes down: a baseline rewrite may not
+     raise the one already committed at [path]. *)
+  (match
+     Option.bind
+       (match In_channel.with_open_bin path In_channel.input_all with
+        | s -> Result.to_option (Json.parse s)
+        | exception Sys_error _ -> None)
+       passes_alloc_ceiling
+   with
+   | Some ceiling when ir_words > ceiling ->
+     failwith
+       (Printf.sprintf
+          "hgraph: the IR passes allocate %d minor words, above the \
+           committed ceiling %d; the ceiling may only go down"
+          ir_words ceiling)
+   | _ -> ());
   Printf.eprintf "[gate] measuring detection throughput...\n%!";
   let eps, elements = detect_eps () in
   let eps_floor = Float.round (eps /. envelope_slack) in
@@ -1010,6 +1056,9 @@ let write_baseline path =
         ( "build_time_envelope_s",
           Json.Float (Float.round (total_s *. envelope_slack *. 100.) /. 100.)
         );
+        (* Exact, like the text sizes: allocation is deterministic. *)
+        ( "hgraph",
+          Json.Obj [ ("passes_alloc_words_ceiling", Json.Int ir_words) ] );
         ( "detect",
           Json.Obj
             [ ("elements", Json.Int elements);
@@ -1056,11 +1105,12 @@ let write_baseline path =
   in
   Obs.write_file path doc;
   Printf.printf
-    "wrote %s (%d apps, measured %.2fs, envelope %.2fs, detect %.0f el/s, \
-     floor %.0f, incr %.1fx, floor %.2fx, serve %.1f builds/s, floor %.2f, \
-     fleet %.1f builds/s, floor %.2f, %d failovers, store %d bytes saved)\n"
+    "wrote %s (%d apps, measured %.2fs, envelope %.2fs, IR passes %d \
+     words, detect %.0f el/s, floor %.0f, incr %.1fx, floor %.2fx, serve \
+     %.1f builds/s, floor %.2f, fleet %.1f builds/s, floor %.2f, %d \
+     failovers, store %d bytes saved)\n"
     path (List.length apps) total_s
-    (total_s *. envelope_slack)
+    (total_s *. envelope_slack) ir_words
     eps eps_floor incr_speedup incr_floor serve.Serve.sv_throughput
     serve_floor fleet.Serve.fl_throughput fleet_floor
     fleet.Serve.fl_failovers store.Store.so_saved;
@@ -1091,6 +1141,8 @@ let reduction_tolerance = 0.001
    failure messages (empty = pass). *)
 let gate ~baseline_path : Json.t * string list =
   let apps, total_s = gate_measure () in
+  Printf.eprintf "[gate] counting IR-pass allocation...\n%!";
+  let ir_words = passes_alloc_words () in
   Printf.eprintf "[gate] measuring detection throughput...\n%!";
   let eps, _ = detect_eps () in
   Printf.eprintf "[gate] measuring incremental rebuild...\n%!";
@@ -1107,7 +1159,7 @@ let gate ~baseline_path : Json.t * string list =
     "[gate] measuring the shelve x outline frontier and release train...\n%!";
   let train = Train_bench.measure () in
   let section =
-    gate_section apps total_s eps incr serve fleet store pgo train
+    gate_section apps total_s eps ir_words incr serve fleet store pgo train
   in
   let fail = ref [] in
   let add fmt = Printf.ksprintf (fun m -> fail := m :: !fail) fmt in
@@ -1229,6 +1281,16 @@ let gate ~baseline_path : Json.t * string list =
         if total_s > limit then
           add "total build time %.2fs exceeds envelope %.2fs by >25%%"
             total_s env);
+     (* Exact: any rise in the IR passes' allocation fails. *)
+     (match passes_alloc_ceiling doc with
+      | None -> add "baseline has no \"hgraph\".\"passes_alloc_words_ceiling\""
+      | Some ceiling ->
+        Printf.printf "  IR passes allocate %d minor words (ceiling %d)  %s\n"
+          ir_words ceiling
+          (if ir_words > ceiling then "FAIL" else "ok");
+        if ir_words > ceiling then
+          add "IR passes allocate %d minor words, above the ceiling %d"
+            ir_words ceiling);
      (match
         Option.bind
           (Option.bind (Json.member "detect" doc)

@@ -61,13 +61,29 @@ type t = {
 (* Orphan "*.json.tmp.<pid>.<domain>" files are the residue of a writer
    that died between [open_out_bin] and [Sys.rename] (kill -9, power
    loss — the in-process failure path unlinks its own tmp). Nothing ever
-   reads them and their writers are gone, so sweep them when the store
-   opens; a pid/domain suffix never collides with a live writer because
-   live writers belong to *this* process, which has not written yet. *)
+   reads them, so sweep them when a store opens — but only those whose
+   writer process is gone. A live writer may be this process (another
+   view over the same directory, on another domain or thread, mid-store)
+   or another process sharing the directory; deleting its tmp file would
+   make its [Sys.rename] fail and lose the entry. *)
 let has_substring ~sub s =
   let n = String.length sub and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   go 0
+
+(* The writer's pid in "<key>.json.tmp.<pid>.<domain>", if it parses. *)
+let tmp_writer_pid f =
+  match List.rev (String.split_on_char '.' f) with
+  | _domain :: pid :: "tmp" :: "json" :: _ -> int_of_string_opt pid
+  | _ -> None
+
+let process_alive pid =
+  pid = Unix.getpid ()
+  ||
+  match Unix.kill pid 0 with
+  | () -> true
+  | exception Unix.Unix_error (Unix.EPERM, _, _) -> true
+  | exception Unix.Unix_error _ -> false
 
 let sweep_tmp root =
   match Sys.readdir root with
@@ -82,9 +98,12 @@ let sweep_tmp root =
           Array.iter
             (fun f ->
               if has_substring ~sub:".json.tmp." f then
-                match Sys.remove (Filename.concat d f) with
-                | () -> counter ns "tmp_swept"
-                | exception Sys_error _ -> ())
+                match tmp_writer_pid f with
+                | Some pid when pid > 0 && process_alive pid -> ()
+                | _ -> (
+                  match Sys.remove (Filename.concat d f) with
+                  | () -> counter ns "tmp_swept"
+                  | exception Sys_error _ -> ()))
             files)
       namespaces
 

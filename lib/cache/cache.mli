@@ -33,7 +33,8 @@ val create : ?dir:string -> ?max_entries:int -> unit -> t
     in-memory tier, oldest-first eviction (default 65536); the disk tier
     is unbounded. Opening a disk tier sweeps orphan [*.tmp.*] files left
     by writers that died mid-store (counted per namespace in
-    [cache.<ns>.tmp_swept]). *)
+    [cache.<ns>.tmp_swept]); a tmp file whose writer process is alive,
+    this one included, is left to its writer. *)
 
 val dir : t -> string option
 

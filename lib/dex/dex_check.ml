@@ -7,6 +7,8 @@ type error = { where : string; what : string }
 
 let error_to_string { where; what } = where ^ ": " ^ what
 
+let max_vregs = 65535
+
 let check_method (m : meth) =
   let errors = ref [] in
   let err fmt =
@@ -19,6 +21,10 @@ let check_method (m : meth) =
   if m.num_params > m.num_vregs then
     err "num_params %d exceeds num_vregs %d" m.num_params m.num_vregs;
   if m.num_vregs < 0 || m.num_params < 0 then err "negative register counts";
+  (* DEX stores the register count in 16 bits; the IR passes size their
+     per-register arrays by it, so a larger count is rejected here. *)
+  if m.num_vregs > max_vregs then
+    err "num_vregs %d exceeds the DEX limit of %d" m.num_vregs max_vregs;
   if n = 0 && not m.is_native then err "non-native method with empty body";
   if m.is_native && n > 0 then err "native method with a body";
   let check_reg what r =

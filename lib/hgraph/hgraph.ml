@@ -50,11 +50,11 @@ type t = {
   mutable blocks : block array;  (** blocks.(0) is the entry *)
 }
 
-let successors = function
-  | TIf (_, _, _, a, b) | TIfz (_, _, a, b) -> [ a; b ]
-  | TGoto a -> [ a ]
-  | TSwitch (_, cases, default) -> cases @ [ default ]
-  | TReturn _ -> []
+let iter_successors f = function
+  | TIf (_, _, _, a, b) | TIfz (_, _, a, b) -> f a; f b
+  | TGoto a -> f a
+  | TSwitch (_, cases, default) -> List.iter f cases; f default
+  | TReturn _ -> ()
 
 let map_successors f = function
   | TIf (c, a, b, t1, t2) -> TIf (c, a, b, f t1, f t2)
@@ -63,29 +63,25 @@ let map_successors f = function
   | TSwitch (v, cases, d) -> TSwitch (v, List.map f cases, f d)
   | TReturn r -> TReturn r
 
-(* Registers read by an instruction. *)
-let insn_uses = function
-  | HConst _ | HConst_string _ | HNew_instance _ -> []
-  | HMove (_, a) -> [ a ]
-  | HBinop (_, _, a, b) -> [ a; b ]
-  | HBinop_lit (_, _, a, _) -> [ a ]
-  | HInvoke (_, args, _) | HInvoke_runtime (_, args, _) -> args
-  | HNull_check a | HDiv_zero_check a -> [ a ]
-  | HBounds_check (i, a) -> [ i; a ]
-  | HIget (_, o, _) -> [ o ]
-  | HIput (v, o, _) -> [ v; o ]
-  | HAget (_, a, i) -> [ a; i ]
-  | HAput (v, a, i) -> [ v; a; i ]
-  | HArray_len (_, a) -> [ a ]
+(* Apply [f] to each register an instruction reads, in operand order,
+   without building a list. *)
+let iter_uses f = function
+  | HConst _ | HConst_string _ | HNew_instance _ -> ()
+  | HMove (_, a) | HBinop_lit (_, _, a, _) | HNull_check a | HDiv_zero_check a
+  | HIget (_, a, _) | HArray_len (_, a) -> f a
+  | HBinop (_, _, a, b) | HBounds_check (a, b) | HIput (a, b, _)
+  | HAget (_, a, b) -> f a; f b
+  | HInvoke (_, args, _) | HInvoke_runtime (_, args, _) -> List.iter f args
+  | HAput (v, a, i) -> f v; f a; f i
 
-(* Register written by an instruction, if any. *)
-let insn_def = function
+(* Apply [f] to the register an instruction writes, if any. *)
+let iter_def f = function
   | HConst (d, _) | HMove (d, _) | HBinop (_, d, _, _)
   | HBinop_lit (_, d, _, _) | HNew_instance (_, d) | HIget (d, _, _)
-  | HAget (d, _, _) | HArray_len (d, _) | HConst_string (d, _) -> Some d
-  | HInvoke (_, _, res) | HInvoke_runtime (_, _, res) -> res
-  | HNull_check _ | HBounds_check _ | HDiv_zero_check _ | HIput _ | HAput _ ->
-    None
+  | HAget (d, _, _) | HArray_len (d, _) | HConst_string (d, _)
+  | HInvoke (_, _, Some d) | HInvoke_runtime (_, _, Some d) -> f d
+  | HInvoke (_, _, None) | HInvoke_runtime (_, _, None) | HNull_check _
+  | HBounds_check _ | HDiv_zero_check _ | HIput _ | HAput _ -> ()
 
 (* Can the instruction be removed if its result is unused? *)
 let insn_is_pure = function
@@ -98,28 +94,30 @@ let insn_is_pure = function
   | HBounds_check _ | HDiv_zero_check _ | HIget _ | HIput _ | HAget _
   | HAput _ -> false
 
-let term_uses = function
-  | TIf (_, a, b, _, _) -> [ a; b ]
-  | TIfz (_, a, _, _) -> [ a ]
-  | TSwitch (v, _, _) -> [ v ]
-  | TReturn (Some r) -> [ r ]
-  | TGoto _ | TReturn None -> []
+(* Apply [f] to each register a terminator reads. *)
+let iter_term_uses f = function
+  | TIf (_, a, b, _, _) -> f a; f b
+  | TIfz (_, a, _, _) | TSwitch (a, _, _) | TReturn (Some a) -> f a
+  | TGoto _ | TReturn None -> ()
 
 (* ---- Builder: DEX bytecode -> HGraph --------------------------------- *)
 
-(* Instruction indices that start a basic block. *)
+(* Instruction indices that start a basic block, ascending. *)
 let leaders (insns : insn array) =
   let n = Array.length insns in
-  let set = Hashtbl.create 16 in
-  Hashtbl.replace set 0 ();
+  let is_leader = Array.make n false in
+  let mark i = if i >= 0 && i < n then is_leader.(i) <- true in
+  mark 0;
   Array.iteri
     (fun i insn ->
-      List.iter (fun t -> Hashtbl.replace set t ()) (targets insn);
-      if is_block_end insn && i + 1 < n then Hashtbl.replace set (i + 1) ())
+      List.iter mark (targets insn);
+      if is_block_end insn then mark (i + 1))
     insns;
-  Hashtbl.fold (fun k () acc -> k :: acc) set []
-  |> List.filter (fun k -> k < n)
-  |> List.sort compare
+  let ls = ref [] in
+  for i = n - 1 downto 0 do
+    if is_leader.(i) then ls := i :: !ls
+  done;
+  !ls
 
 let of_method (m : meth) : t =
   let n = Array.length m.insns in
@@ -130,12 +128,12 @@ let of_method (m : meth) : t =
   if m.is_native || n = 0 then g
   else begin
     let ls = leaders m.insns in
-    let block_of_index = Hashtbl.create 16 in
-    List.iteri (fun bi leader -> Hashtbl.replace block_of_index leader bi) ls;
+    let block_of_index = Array.make n (-1) in
+    List.iteri (fun bi leader -> block_of_index.(leader) <- bi) ls;
     let block_id_of_index idx =
-      match Hashtbl.find_opt block_of_index idx with
-      | Some b -> b
-      | None -> invalid_arg "Hgraph.of_method: branch into block middle"
+      if idx >= 0 && idx < n && block_of_index.(idx) >= 0 then
+        block_of_index.(idx)
+      else invalid_arg "Hgraph.of_method: branch into block middle"
     in
     let bounds =
       (* (start, end exclusive) of each block *)
@@ -220,27 +218,28 @@ exception Invalid of string
 
 let verify (g : t) =
   let nb = Array.length g.blocks in
+  let i = ref 0 in
+  let check_succ s =
+    if s < 0 || s >= nb then
+      raise
+        (Invalid (Printf.sprintf "block %d: successor %d out of range" !i s))
+  in
+  let check_reg r =
+    if r < 0 || r >= g.g_num_vregs then
+      raise (Invalid (Printf.sprintf "block %d: vreg v%d out of range" !i r))
+  in
+  let check_insn insn =
+    iter_uses check_reg insn;
+    iter_def check_reg insn
+  in
   Array.iteri
-    (fun i b ->
-      if b.bid <> i then
-        raise (Invalid (Printf.sprintf "block %d has bid %d" i b.bid));
-      List.iter
-        (fun s ->
-          if s < 0 || s >= nb then
-            raise
-              (Invalid
-                 (Printf.sprintf "block %d: successor %d out of range" i s)))
-        (successors b.term);
-      let check_reg r =
-        if r < 0 || r >= g.g_num_vregs then
-          raise (Invalid (Printf.sprintf "block %d: vreg v%d out of range" i r))
-      in
-      List.iter
-        (fun insn ->
-          List.iter check_reg (insn_uses insn);
-          Option.iter check_reg (insn_def insn))
-        b.insns;
-      List.iter check_reg (term_uses b.term))
+    (fun bi b ->
+      i := bi;
+      if b.bid <> bi then
+        raise (Invalid (Printf.sprintf "block %d has bid %d" bi b.bid));
+      iter_successors check_succ b.term;
+      List.iter check_insn b.insns;
+      iter_term_uses check_reg b.term)
     g.blocks
 
 (* Blocks reachable from the entry. *)
@@ -250,7 +249,7 @@ let reachable (g : t) =
   let rec go b =
     if not seen.(b) then begin
       seen.(b) <- true;
-      List.iter go (successors g.blocks.(b).term)
+      iter_successors go g.blocks.(b).term
     end
   in
   if nb > 0 then go 0;
@@ -266,7 +265,7 @@ let predecessors (g : t) =
   let preds = Array.make nb [] in
   Array.iter
     (fun b ->
-      List.iter (fun s -> preds.(s) <- b.bid :: preds.(s)) (successors b.term))
+      iter_successors (fun s -> preds.(s) <- b.bid :: preds.(s)) b.term)
     g.blocks;
   preds
 

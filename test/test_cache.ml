@@ -213,6 +213,37 @@ let disk_tests =
               (Sys.file_exists entry);
             Alcotest.(check int) "sweep counted" 1
               (swept "method" + swept "detect" - s0)));
+    Alcotest.test_case "the sweep spares tmp files of live writers" `Quick
+      (fun () ->
+        with_tmpdir (fun dir ->
+            let c = Cache.create ~dir () in
+            Cache.add_json c ~ns:"detect" "k1"
+              (Calibro_obs.Json.Str "v1");
+            let entry = List.hd (Cache.entry_files c) in
+            (* A writer that has exited: its pid is free. *)
+            let dead_pid =
+              let pid =
+                Unix.create_process "true" [| "true" |] Unix.stdin Unix.stdout
+                  Unix.stderr
+              in
+              ignore (Unix.waitpid [] pid);
+              pid
+            in
+            let tmp pid =
+              let f = Printf.sprintf "%s.tmp.%d.0" entry pid in
+              let oc = open_out_bin f in
+              output_string oc "half a write";
+              close_out oc;
+              f
+            in
+            (* Another view in this process, mid-store. *)
+            let live = tmp (Unix.getpid ()) in
+            let orphan = tmp dead_pid in
+            ignore (Cache.create ~dir ());
+            Alcotest.(check bool) "live writer's tmp kept" true
+              (Sys.file_exists live);
+            Alcotest.(check bool) "dead writer's tmp swept" false
+              (Sys.file_exists orphan)));
     Alcotest.test_case "a failed disk store leaves no tmp debris" `Quick
       (fun () ->
         with_tmpdir (fun dir ->

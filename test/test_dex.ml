@@ -95,6 +95,20 @@ let suite =
             insns = [| Const (5, 1); Return None |] }
         in
         Alcotest.(check bool) "errors" true (Dex_check.check_method m <> []));
+    Alcotest.test_case "checker: register count above the DEX limit" `Quick
+      (fun () ->
+        let m =
+          { name = { class_name = "c"; method_name = "m" };
+            num_params = 0; num_vregs = Dex_check.max_vregs;
+            is_native = false; is_entry = false;
+            insns = [| Const (0, 1); Return None |] }
+        in
+        Alcotest.(check int) "limit accepted" 0
+          (List.length (Dex_check.check_method m));
+        Alcotest.(check int) "one over rejected" 1
+          (List.length
+             (Dex_check.check_method
+                { m with num_vregs = Dex_check.max_vregs + 1 })));
     Alcotest.test_case "checker: fallthrough off end" `Quick (fun () ->
         let m =
           { name = { class_name = "c"; method_name = "m" };

@@ -16,7 +16,7 @@ let count_insns g = size g
 let has_insn g pred =
   Array.exists (fun b -> List.exists pred b.insns) g.blocks
 
-let suite =
+let basics =
   [ Alcotest.test_case "straight line is one block" `Quick (fun () ->
         let g = graph [ Const (0, 1); Const (1, 2); Return (Some 0) ] in
         Alcotest.(check int) "blocks" 1 (Array.length g.blocks);
@@ -196,3 +196,171 @@ let suite =
         Alcotest.(check int) "blocks" 0 (Array.length g.blocks);
         Alcotest.(check int) "optimize no-op" 0 (Passes.optimize g))
   ]
+
+(* The optimized IR of every method of the evaluation apps, digested. It
+   pins the pass pipeline's output before codegen and layout, which could
+   otherwise hide an IR change behind identical OAT bytes. *)
+let ir_digest () =
+  let module Md5 = Calibro_chash.Chash.Md5 in
+  let st = Md5.init () in
+  List.iter
+    (fun p ->
+      let a = Calibro_workload.Appgen.generate p in
+      List.iter
+        (fun m ->
+          let g = of_method m in
+          ignore (Passes.optimize g);
+          Md5.feed_string st (to_string g))
+        (methods_of_apk a.Calibro_workload.Appgen.app))
+    Calibro_workload.Apps.all;
+  Calibro_chash.Chash.to_hex (Md5.finalize st)
+
+let golden =
+  [ Alcotest.test_case "optimized IR of the evaluation apps is pinned" `Quick
+      (fun () ->
+        Alcotest.(check string) "IR digest" "c152cfa8ef54b5c8f62133b9fa67a615"
+          (ir_digest ())) ]
+(* A graph whose input breaks [verify] must fail as the typed
+   [Pass_error], not as an array index out of bounds inside a pass. *)
+let raises_pass_error g =
+  match Passes.optimize g with
+  | _ -> Alcotest.fail "optimize accepted an invalid graph"
+  | exception Passes.Pass_error msg ->
+    Alcotest.(check bool) msg true
+      (Astring.String.is_infix ~affix:"invalid input graph" msg)
+
+let dexsim_of_method ~regs body =
+  Printf.sprintf
+    ".apk a\n.dex d\n.class c\n.method m params #1 regs #%d entry\n%s.end\n"
+    regs body
+
+let typed_failure =
+  [ Alcotest.test_case "optimize types an out-of-range vreg as Pass_error"
+      `Quick (fun () ->
+        raises_pass_error
+          (graph ~vregs:2 [ Const (5, 1); Return (Some 5) ]);
+        raises_pass_error (graph ~vregs:2 [ Move (1, -1); Return (Some 1) ]);
+        raises_pass_error (graph ~vregs:2 [ Ifz (Eq, 7, 0); Return None ]));
+    Alcotest.test_case "an out-of-range vreg fails only its own request"
+      `Quick (fun () ->
+        let module Protocol = Calibro_server.Protocol in
+        let module Worker = Calibro_server.Worker in
+        let request dexsim =
+          { Protocol.rq_config = Calibro_core.Config.baseline;
+            rq_dexsim = dexsim; rq_profile = None; rq_deadline_ms = None;
+            rq_dict = None; rq_shelve = None }
+        in
+        (* The checker rejects the method before HGraph construction, so
+           the worker answers with a typed rejection naming the register. *)
+        (match
+           Worker.build_response ~cache:None
+             (request
+                (dexsim_of_method ~regs:2 "  const v5, #1\n  return v5\n"))
+         with
+         | Protocol.Rejected (Protocol.Build_failed msg) ->
+           Alcotest.(check bool) msg true
+             (Astring.String.is_infix ~affix:"v5 out of range" msg)
+         | Protocol.Rejected r ->
+           Alcotest.failf "expected Build_failed, got %s"
+             (Protocol.rejection_to_string r)
+         | _ -> Alcotest.fail "an out-of-range vreg built");
+        match
+          Worker.build_response ~cache:None
+            (request
+               (dexsim_of_method ~regs:2
+                  "  add v1, v0, #1\n  return v1\n"))
+        with
+        | Protocol.Built _ -> ()
+        | Protocol.Rejected r ->
+          Alcotest.failf "the next request failed: %s"
+            (Protocol.rejection_to_string r)
+        | _ -> Alcotest.fail "the next request got a non-build answer") ]
+
+(* Liveness is kept in words of 62 registers. For each register count,
+   the top register (in the top word) is live only around the loop's
+   back-edge and its decrement must survive; its dead store after the
+   loop must go. *)
+let dce_edges =
+  [ Alcotest.test_case "dce with no registers" `Quick (fun () ->
+        let g = graph ~vregs:0 [ Goto 1; Return None ] in
+        Alcotest.(check bool) "nothing to drop" false (Passes.dce g);
+        verify g);
+    Alcotest.test_case "dce keeps the top bitset word live across a back-edge"
+      `Quick (fun () ->
+        List.iter
+          (fun nv ->
+            let r = nv - 1 in
+            let g =
+              graph ~vregs:nv
+                [ Const (r, 3);                  (* B0 *)
+                  Ifz (Eq, r, 4);                (* B1: loop header *)
+                  Binop_lit (Sub, r, r, 1);      (* B2: live via back-edge *)
+                  Goto 1;
+                  Const (r, 99); Return None ]   (* B3: dead store *)
+            in
+            ignore (Passes.dce g);
+            verify g;
+            let name = Printf.sprintf "%d regs: " nv in
+            Alcotest.(check bool) (name ^ "decrement kept") true
+              (has_insn g (function
+                 | HBinop_lit (Sub, d, a, 1) -> d = r && a = r
+                 | _ -> false));
+            Alcotest.(check bool) (name ^ "initial value kept") true
+              (has_insn g (function HConst (d, 3) -> d = r | _ -> false));
+            Alcotest.(check bool) (name ^ "dead store dropped") false
+              (has_insn g (function HConst (_, 99) -> true | _ -> false)))
+          [ 1; 62; 63; 64; 130 ]) ]
+
+let local_passes =
+  [ Alcotest.test_case "copy_prop: killing the source ends a copy chain"
+      `Quick (fun () ->
+        let g =
+          graph
+            [ Move (1, 0);            (* v1 = v0 *)
+              Move (2, 1);            (* v2 = v1, forwarded to v0 *)
+              Const (0, 9);           (* v0 redefined: both copies stale *)
+              Binop (Add, 3, 1, 2);
+              Return (Some 3) ]
+        in
+        ignore (Passes.copy_prop g);
+        Alcotest.(check bool) "chain forwarded" true
+          (has_insn g (function HMove (2, 0) -> true | _ -> false));
+        Alcotest.(check bool) "stale copies not used" true
+          (has_insn g (function HBinop (Add, 3, 1, 2) -> true | _ -> false)));
+    Alcotest.test_case "cse drops only the expressions an operand kills"
+      `Quick (fun () ->
+        let g =
+          graph
+            [ Binop_lit (Add, 2, 0, 5);
+              Binop (Add, 3, 0, 1);
+              Const (1, 7);             (* second operand of v3 redefined *)
+              Binop (Add, 4, 0, 1);
+              Binop_lit (Add, 5, 0, 5); (* does not read v1: still there *)
+              Return (Some 4) ]
+        in
+        ignore (Passes.cse g);
+        Alcotest.(check bool) "killed expression recomputed" true
+          (has_insn g (function HBinop (Add, 4, 0, 1) -> true | _ -> false));
+        Alcotest.(check bool) "other expression reused" true
+          (has_insn g (function HMove (5, 2) -> true | _ -> false)));
+    Alcotest.test_case "cse moves an expression to its new holder" `Quick
+      (fun () ->
+        let g =
+          graph
+            [ Binop (Add, 2, 0, 1);
+              Binop (Add, 2, 0, 1);  (* same key, same holder *)
+              Binop (Add, 3, 0, 1);
+              Const (2, 0);          (* holder v2 redefined *)
+              Binop (Add, 4, 0, 1);  (* no holder left: v4 holds it now *)
+              Binop (Add, 5, 0, 1);
+              Return (Some 5) ]
+        in
+        ignore (Passes.cse g);
+        Alcotest.(check bool) "same holder kept" true
+          (has_insn g (function HMove (3, 2) -> true | _ -> false));
+        Alcotest.(check bool) "recomputed after the holder died" true
+          (has_insn g (function HBinop (Add, 4, 0, 1) -> true | _ -> false));
+        Alcotest.(check bool) "new holder used" true
+          (has_insn g (function HMove (5, 4) -> true | _ -> false))) ]
+
+let suite = basics @ typed_failure @ dce_edges @ local_passes @ golden

@@ -7,12 +7,10 @@
    FILE` writes a Chrome trace_event JSON (open in about://tracing or
    Perfetto), `--metrics FILE` the flat metrics JSON CI consumes.
 
-   The CI perf gate: `baseline` re-measures the six evaluation apps and
-   writes bench/baseline.json (committed); `gate` re-measures and fails
-   (exit 1) if any app's text-size reduction regressed against the
-   committed baseline, the total build time exceeds the committed
-   envelope by more than 25%, or detection throughput falls more than
-   25% below the committed floor. *)
+   The CI perf gate: `baseline` measures and writes bench/baseline.json
+   (committed); `gate` re-measures and exits 1 if any row fails. Both
+   are folds over one table: the rows are [Harness.rows], and each row's
+   kind (bench/gate_table.ml) says how it is committed and judged. *)
 
 module Obs = Calibro_obs.Obs
 
@@ -50,11 +48,12 @@ let usage () =
     \                   builds, byte divergence in the fleet, or a broken\n\
     \                   shelved re-link\n\
     \  digest           per-app, per-config MD5 of the OAT text segment\n\
-    \  baseline         measure and write the CI perf baseline\n\
-    \                   (--out, default bench/baseline.json)\n\
-    \  gate             compare a fresh measurement against the committed\n\
-    \                   baseline (--baseline, default bench/baseline.json);\n\
-    \                   exit 1 on regression\n\
+    \  baseline         measure and write the CI perf baseline, one value\n\
+    \                   per gate-table row (--out, default\n\
+    \                   bench/baseline.json); refuses to loosen an exact row\n\
+    \  gate             judge a fresh measurement row by row against the\n\
+    \                   committed baseline (--baseline, default\n\
+    \                   bench/baseline.json); exit 1 if any row fails\n\
      flags:\n\
     \  --trace FILE     write a Chrome trace_event JSON of the run\n\
     \  --metrics FILE   write the flat metrics JSON (counters, gauges,\n\
@@ -123,7 +122,7 @@ let () =
      Harness.write_baseline
        (match !out with Some f -> f | None -> "bench/baseline.json")
    | "gate" ->
-     print_endline "== CI perf gate: text sizes + build-time envelope ==";
+     print_endline "== CI perf gate: the gate table against the baseline ==";
      let section, failures = Harness.gate ~baseline_path:!baseline in
      bench_section := Some section;
      if failures <> [] then begin

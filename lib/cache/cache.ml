@@ -4,7 +4,7 @@
 
      <dir>/<ns>/<key>.json
        { "schema": 1, "ns": .., "key": ..,
-         "payload_digest": <md5 hex of the payload's compact serialization>,
+         "payload_digest": <Chash hex of the payload's compact serialization>,
          "payload": .. }
 
    The digest makes corruption (truncation, bit flips, partial writes that
@@ -18,10 +18,10 @@ module Obs = Calibro_obs.Obs
 module Json = Calibro_obs.Json
 module Chash = Calibro_chash.Chash
 
-(* v2: content hashing moved from MD5 to the CALIBRO_HASH-selected Chash
-   backend. The version is part of every key's salt, so entries written
-   under one version (or hash backend) are simply unreachable under
-   another — no mixed-digest reads, no format sniffing. *)
+(* v2: content hashing moved from MD5 to Chash. The version is part of
+   every key's salt, so entries written under one version are simply
+   unreachable under another — no mixed-digest reads, no format
+   sniffing. *)
 let version = 2
 let salt = Printf.sprintf "calibro-cache-v%d" version
 let schema = 1

@@ -25,7 +25,6 @@
 open Calibro_aarch64
 open Calibro_codegen
 module Oat = Calibro_oat.Oat_file
-module Shelve = Calibro_shelve.Shelve
 
 type violation = { v_check : string; v_where : string; v_detail : string }
 
@@ -266,11 +265,11 @@ let check_shelf (oat : Oat.t) : violation list =
         match Hashtbl.find_opt by_slot e.Oat.sh_slot with
         | None -> bad ~where "no method with this slot in the image"
         | Some me ->
-          if me.Oat.me_size <> Shelve.stub_bytes then
+          if me.Oat.me_size <> Abi.shelf_stub_bytes then
             bad ~where "text region of %d bytes is not a %d-byte stub"
-              me.Oat.me_size Shelve.stub_bytes
+              me.Oat.me_size Abi.shelf_stub_bytes
           else (
-            match Shelve.decode_stub oat.Oat.text ~offset:me.Oat.me_offset with
+            match Abi.decode_shelf_stub oat.Oat.text ~offset:me.Oat.me_offset with
             | Some i when i = index -> ()
             | Some i -> bad ~where "stub encodes shelf index %d" i
             | None -> bad ~where "text region does not decode as a shelf stub"))

@@ -40,9 +40,36 @@ let shelf_base = 0x6000000
 
 let shelf_stub_magic = 0x5e1f
 (* The [brk] immediate of a shelf stub ([movz x17, #index; brk #magic]).
-   Lives here — not in lib/shelve — because both the stub emitter and the
-   simulator's fault handler need it, and the VM must not depend on the
+   The stub codec lives here — not in lib/shelve — because the emitter
+   (lib/shelve), the simulator's fault handler, the invariant checker and
+   oatdump all need it, and none of the last three may depend on the
    shelving library. *)
+
+let shelf_stub_bytes = 2 * Calibro_aarch64.Isa.instr_bytes
+
+(* The stub for the [index]-th shelf entry; [Invalid_argument] past the
+   16-bit [movz] immediate. *)
+let shelf_stub_code ~index =
+  let open Calibro_aarch64 in
+  if index < 0 || index > 0xffff then
+    invalid_arg (Printf.sprintf "shelf index %d out of range" index);
+  Encode.to_bytes
+    [ Isa.Mov_wide
+        { kind = Isa.MOVZ; size = Isa.X; rd = Isa.x17; imm16 = index; hw = 0 };
+      Isa.Brk shelf_stub_magic ]
+
+(* [Some index] iff the [shelf_stub_bytes] at [offset] are a shelf stub. *)
+let decode_shelf_stub code ~offset =
+  let open Calibro_aarch64 in
+  if offset < 0 || offset + shelf_stub_bytes > Bytes.length code then None
+  else
+    let w i = Encode.word_of_bytes code (offset + (i * Isa.instr_bytes)) in
+    match (Decode.decode (w 0), Decode.decode (w 1)) with
+    | ( Isa.Mov_wide { kind = Isa.MOVZ; size = Isa.X; rd; imm16; hw = 0 },
+        Isa.Brk m )
+      when rd = Isa.x17 && m = shelf_stub_magic ->
+      Some imm16
+    | _ -> None
 
 let method_table_base = 0x8000000 (* ArtMethod structs, 32 bytes each *)
 let runtime_table_base = 0x9000000

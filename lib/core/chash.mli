@@ -1,21 +1,18 @@
-(** Content hashing behind one [Digest]-shaped signature.
+(** The one content hash of the tree.
 
-    Every content-addressed structure in the tree — compilation-cache
-    keys, canonical LTBO token digests, router shard affinity — needs a
-    128-bit value that is uniform and stable, not cryptographic: the
-    inputs are trusted build artifacts, and the hash sits on the serving
-    hot path (ShareJIT's lesson: content addressing only pays when the
-    hash is far cheaper than the work it deduplicates). The default
-    backend is a two-lane splitmix64 sponge (full 64-bit finalizer
-    avalanche per 8-byte word, cross-lane mix at the end); MD5 is kept as
-    a byte-compatible reference backend, selected by [CALIBRO_HASH=md5],
-    so CI can prove the swap changes no output bytes.
+    Every content-addressed structure — compilation-cache keys, canonical
+    LTBO token digests, router shard affinity, the dictionary and shelve
+    policy digests — needs a 128-bit value that is uniform and stable, not
+    cryptographic: the inputs are trusted build artifacts, and the hash
+    sits on the serving hot path (ShareJIT's lesson: content addressing
+    only pays when the hash is far cheaper than the work it
+    deduplicates). It is a two-lane splitmix64 sponge: a full 64-bit
+    finalizer avalanche per 8-byte word, and a cross-lane mix with the
+    absorbed length at the end.
 
-    Values are 16-byte binary strings, like [Stdlib.Digest.t]. The two
-    backends produce different values for the same input by design; all
-    in-tree uses only ever compare hashes from the same backend (keys,
-    memo digests, ring points), and the disk cache salts its version so
-    entries written under one backend are unreachable under the other. *)
+    Values are 16-byte binary strings, like [Stdlib.Digest.t]. The pinned
+    MD5 snapshots (bench digest, the IR digest test) call [Stdlib.Digest]
+    directly. *)
 
 type t = string
 (** 16 bytes, binary. *)
@@ -23,55 +20,12 @@ type t = string
 type bigstring =
   (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-(** The streaming interface: feed any mix of string/bytes/Bigarray slices
-    and 63-bit ints; the result depends only on the concatenated byte
-    stream, never on feeding granularity or slice offsets. *)
-module type S = sig
-  type state
+(** {2 Streaming}
 
-  val init : unit -> state
-
-  val feed_substring : state -> string -> off:int -> len:int -> unit
-  val feed_string : state -> string -> unit
-  val feed_subbytes : state -> bytes -> off:int -> len:int -> unit
-  val feed_bytes : state -> bytes -> unit
-
-  val feed_bigarray : state -> bigstring -> off:int -> len:int -> unit
-  (** Off-heap input (an {!Calibro_oat.Arena} window); no copy onto the
-      OCaml heap on the fast backend. *)
-
-  val feed_int : state -> int -> unit
-  (** Feeds the int as 8 little-endian bytes — the allocation-free way to
-      hash token runs ({!Seq_map.digest}) without printing them. *)
-
-  val finalize : state -> t
-
-  val string : string -> t
-  val bytes : bytes -> t
-  val substring : string -> off:int -> len:int -> t
-  val subbytes : bytes -> off:int -> len:int -> t
-  val bigarray : bigstring -> off:int -> len:int -> t
-end
-
-module Fast : S
-(** The splitmix64 sponge. *)
-
-module Md5 : S
-(** Reference backend over [Stdlib.Digest] (MD5). Streaming accumulates
-    into a buffer and digests at [finalize] — correct, not fast; it
-    exists for parity checks, not production traffic. *)
-
-val backend : unit -> [ `Fast | `Md5 ]
-(** [`Md5] iff the environment variable [CALIBRO_HASH] is ["md5"] (read
-    once, at first use). *)
-
-val backend_name : unit -> string
-
-(** {2 Dispatching interface}
-
-    The functions below run on the backend selected by [CALIBRO_HASH].
-    This is what production call sites use; tests and the digest
-    snapshot pin {!Fast} or {!Md5} explicitly. *)
+    Feed any mix of string/bytes/Bigarray slices and 63-bit ints; the
+    result depends only on the concatenated byte stream, never on feeding
+    granularity or slice offsets. Slices out of bounds raise
+    [Invalid_argument]. *)
 
 type state
 
@@ -80,9 +34,20 @@ val feed_substring : state -> string -> off:int -> len:int -> unit
 val feed_string : state -> string -> unit
 val feed_subbytes : state -> bytes -> off:int -> len:int -> unit
 val feed_bytes : state -> bytes -> unit
+
 val feed_bigarray : state -> bigstring -> off:int -> len:int -> unit
+(** Off-heap input (an {!Calibro_oat.Arena} window), with no copy onto the
+    OCaml heap. *)
+
 val feed_int : state -> int -> unit
+(** Feeds the int as 8 little-endian bytes — the allocation-free way to
+    hash token runs ({!Seq_map.digest}) without printing them. *)
+
 val finalize : state -> t
+(** Pure over the state: feeding may continue after a [finalize]. *)
+
+(** {2 One-shot} *)
+
 val string : string -> t
 val bytes : bytes -> t
 val substring : string -> off:int -> len:int -> t

@@ -8,12 +8,8 @@
    every device maps once at {!Calibro_codegen.Abi.dict_base}. The
    linker then binds a matching body to its shared slot instead of
    placing it locally (see {!Calibro_oat.Linker.dict}), exactly like a
-   prelinked system library.
-
-   The image digest is computed with the stdlib MD5 ([Digest]), never
-   {!Calibro_chash.Chash}: the digest names the dictionary in OAT
-   containers and on the wire, so it must not change with the
-   CALIBRO_HASH backend selection. *)
+   prelinked system library. The image digest ({!Calibro_chash.Chash})
+   names the dictionary in OAT containers and on the wire. *)
 
 open Calibro_core
 module Oat_file = Calibro_oat.Oat_file
@@ -32,7 +28,7 @@ type entry = {
 
 type t = {
   dt_image : bytes;
-  dt_digest : string;  (** MD5 hex of [dt_image] *)
+  dt_digest : string;  (** Chash hex of [dt_image] *)
   dt_entries : entry list;  (** in image order *)
   dt_slots : (string, int) Hashtbl.t;  (** body bytes -> image offset *)
 }
@@ -45,7 +41,8 @@ let n_bodies t = List.length t.dt_entries
 
 let name_prefix = "calibro-dict:"
 
-let image_digest image = Digest.to_hex (Digest.bytes image)
+let image_digest image =
+  Calibro_chash.Chash.to_hex (Calibro_chash.Chash.bytes image)
 
 (* Fleet-wide bytes saved by sharing [body] across [apps] copies: the
    store ships one body instead of [apps], minus nothing locally (the
@@ -131,12 +128,16 @@ let vm_image t =
 
    The artifact is itself an OAT container: the image as text, one
    outlined entry per body, and a self-naming [apk_name] binding the
-   content digest into the (digest-checked) method table. Corruption
-   anywhere is a typed error on load:
-   - truncation        -> Oat_file.of_bytes bounds check;
-   - method-table flip -> Marshal/decode failure in of_bytes;
-   - image flip        -> the recomputed digest no longer matches the
-                          name (of_bytes cannot see it; we can). *)
+   content digest into the method table. On load:
+   - truncation        -> a typed error from Oat_file.of_bytes' bounds
+                          check;
+   - image flip        -> a typed error: the recomputed digest no longer
+                          matches the name (of_bytes cannot see it; we
+                          can);
+   - method-table flip -> NOT reliably typed: of_bytes reads the table
+                          with Marshal, which can crash the process on
+                          flipped bytes. The bounds-checked codec item in
+                          ROADMAP.md replaces it. *)
 
 let to_oat t : Oat_file.t =
   { Oat_file.apk_name = name_prefix ^ t.dt_digest;

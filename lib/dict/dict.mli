@@ -11,9 +11,9 @@
     ({!Calibro_oat.Oat_file.t.dict_digest}) and executes only against
     that exact image.
 
-    Digests are stdlib MD5, deliberately independent of the
-    [CALIBRO_HASH] backend: they name the dictionary inside OAT bytes
-    and on the wire, where backend choice must not change output. *)
+    The digest is {!Calibro_chash.Chash} of the image, the tree's one
+    content hash; it names the dictionary inside OAT containers and on
+    the wire. *)
 
 type entry = {
   e_offset : int;  (** byte offset of the body in the image *)
@@ -26,7 +26,7 @@ type entry = {
 type t
 
 val digest : t -> string
-(** MD5 hex of the image — the identity every consumer keys on. *)
+(** Chash hex of the image — the identity every consumer keys on. *)
 
 val image : t -> bytes
 val size : t -> int

@@ -19,23 +19,6 @@ let check_extent (oat : Oat_file.t) what ~offset ~size =
             "%s spans +%#x..+%#x but the text segment is %d bytes" what
             offset (offset + size) text))
 
-(* Recognize a shelf fault stub ([movz x17, #index; brk #magic]) in the
-   text segment. Decoded locally from {!Abi.shelf_stub_magic}: the stub
-   *emitter* lives in lib/shelve, which depends on this library, so the
-   dump recognizes the encoding rather than importing it. *)
-let shelf_stub_index text ~offset ~size =
-  if size <> 8 || offset < 0 || offset + size > Bytes.length text then None
-  else
-    match
-      ( Decode.decode (Encode.word_of_bytes text offset),
-        Decode.decode (Encode.word_of_bytes text (offset + 4)) )
-    with
-    | ( Isa.Mov_wide { kind = Isa.MOVZ; size = Isa.X; rd; imm16; hw = 0 },
-        Isa.Brk m )
-      when rd = Isa.x17 && m = Abi.shelf_stub_magic ->
-      Some imm16
-    | _ -> None
-
 let dump_method buf (oat : Oat_file.t) (m : Oat_file.method_entry) =
   check_extent oat
     (Printf.sprintf "method %s"
@@ -48,8 +31,8 @@ let dump_method buf (oat : Oat_file.t) (m : Oat_file.method_entry) =
        (if m.me_meta.Meta.is_native then " [native]" else "")
        (if m.me_meta.Meta.has_indirect_jump then " [indirect-jump]" else "")
        (match
-          shelf_stub_index oat.Oat_file.text ~offset:m.me_offset
-            ~size:m.me_size
+          if m.me_size <> Abi.shelf_stub_bytes then None
+          else Abi.decode_shelf_stub oat.Oat_file.text ~offset:m.me_offset
         with
        | Some i -> Printf.sprintf " [shelf-stub #%d]" i
        | None -> ""));

@@ -67,7 +67,7 @@ module Ring = struct
     in
     { (sorted pts) with n_shards = shards; n_replicas = replicas }
 
-  (* Key point of an app digest: its first 8 bytes (MD5 is uniform, but
+  (* Key point of an app digest: its first 8 bytes (the digest is uniform, but
      splitmix64 again costs nothing and covers shorter fallback keys). *)
   let key_point key =
     let h = ref 0L in

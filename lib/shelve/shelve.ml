@@ -9,11 +9,9 @@
      release-train workload measures. *)
 
 open Calibro_dex.Dex_ir
-module Isa = Calibro_aarch64.Isa
-module Encode = Calibro_aarch64.Encode
-module Decode = Calibro_aarch64.Decode
 module Compiled_method = Calibro_codegen.Compiled_method
 module Meta = Calibro_codegen.Meta
+module Abi = Calibro_codegen.Abi
 module Linker = Calibro_oat.Linker
 module Profile = Calibro_profile.Profile
 module Obs = Calibro_obs.Obs
@@ -29,9 +27,6 @@ type plan = {
 let compare_ref (a : method_ref) (b : method_ref) =
   compare (a.class_name, a.method_name) (b.class_name, b.method_name)
 
-(* MD5 on purpose (like the dictionary digest): the policy digest is part
-   of the served-bytes contract across processes, so it must not depend on
-   the CALIBRO_HASH backend selection. *)
 let digest ~coverage ~warm =
   let b = Buffer.create 256 in
   Buffer.add_string b "calibro-shelve-v1\n";
@@ -43,7 +38,7 @@ let digest ~coverage ~warm =
       Buffer.add_string b m.method_name;
       Buffer.add_char b '\n')
     warm;
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  Calibro_chash.Chash.to_hex (Calibro_chash.Chash.string (Buffer.contents b))
 
 let plan ~coverage ~warm =
   if not (coverage >= 0.0 && coverage <= 1.0) then (* also rejects nan *)
@@ -60,29 +55,9 @@ let of_profile ~coverage profile =
 
 (* ---- The stub ---------------------------------------------------------- *)
 
-let stub_insns = 2
-let stub_bytes = stub_insns * Isa.instr_bytes
-let stub_magic = Calibro_codegen.Abi.shelf_stub_magic
-
-let stub_spec ~index =
-  if index < 0 || index > 0xffff then
-    raise (Shelve_error (Printf.sprintf "shelf index %d out of range" index));
-  [ Isa.Mov_wide
-      { kind = Isa.MOVZ; size = Isa.X; rd = Isa.x17; imm16 = index; hw = 0 };
-    Isa.Brk stub_magic ]
-
-let stub_code ~index = Encode.to_bytes (stub_spec ~index)
-
-let decode_stub code ~offset =
-  if offset < 0 || offset + stub_bytes > Bytes.length code then None
-  else
-    let w i = Encode.word_of_bytes code (offset + (i * Isa.instr_bytes)) in
-    match (Decode.decode (w 0), Decode.decode (w 1)) with
-    | ( Isa.Mov_wide { kind = Isa.MOVZ; size = Isa.X; rd; imm16; hw = 0 },
-        Isa.Brk m )
-      when rd = Isa.x17 && m = stub_magic ->
-      Some imm16
-    | _ -> None
+let stub_code ~index =
+  try Abi.shelf_stub_code ~index
+  with Invalid_argument m -> raise (Shelve_error m)
 
 (* ---- The split --------------------------------------------------------- *)
 
@@ -94,7 +69,7 @@ type split = {
 
 let shelvable ~warm_tbl (cm : Compiled_method.t) =
   (not (Compiled_method.is_native cm))
-  && Bytes.length cm.Compiled_method.code > stub_bytes
+  && Bytes.length cm.Compiled_method.code > Abi.shelf_stub_bytes
   && not (Hashtbl.mem warm_tbl cm.Compiled_method.name)
 
 let split ~plan (methods : Compiled_method.t list) : split =

@@ -4,8 +4,9 @@
     the original body in a shelf image mapped at
     {!Calibro_codegen.Abi.shelf_base}.
 
-    A stub is [movz x17, #index; brk #stub_magic]. The simulator intercepts
-    the [brk], redirects the ArtMethod entry pointer to the parked body
+    A stub is [movz x17, #index; brk #magic]
+    ({!Calibro_codegen.Abi.shelf_stub_code}). The simulator intercepts the
+    [brk], redirects the ArtMethod entry pointer to the parked body
     (first-fault "unshelve") and resumes there, so shelved code still
     executes correctly — it just pays an interpretation penalty. Because
     the split runs after per-method compilation but before LTBO mining,
@@ -27,27 +28,12 @@ type plan = {
 
 val plan : coverage:float -> warm:method_ref list -> plan
 (** Canonicalize (sort, dedup) the warm set and stamp the policy digest.
-    The digest is MD5 (hash-backend independent, like the dictionary
-    digest) so two processes derive identical plans from identical
-    profiles. *)
+    The digest is {!Calibro_chash.Chash} over the canonical plan text,
+    so two processes derive identical plans from identical profiles. *)
 
 val of_profile : coverage:float -> Calibro_profile.Profile.t -> plan
 (** The standard derivation: warm = {!Calibro_profile.Profile.hot_set}
     at [coverage]; everything else is shelvable. *)
-
-val stub_insns : int
-val stub_bytes : int  (** fixed stub size: [stub_insns] * 4 bytes *)
-
-val stub_magic : int
-(** The [brk] immediate marking a shelf stub; the VM faults into its
-    unshelve path on it, everything else treats it as a plain break. *)
-
-val stub_code : index:int -> bytes
-(** The encoded stub for the [index]-th shelf entry (slot order). *)
-
-val decode_stub : bytes -> offset:int -> int option
-(** [decode_stub code ~offset] returns [Some index] iff the [stub_bytes]
-    at [offset] are a well-formed shelf stub. *)
 
 type split = {
   sv_warm : Calibro_codegen.Compiled_method.t list;

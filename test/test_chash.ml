@@ -1,14 +1,13 @@
 (* Property battery for the content hash (Calibro_chash.Chash).
 
-   The fast backend replaces MD5 on every cache key, token digest and
-   shard-affinity decision, so this suite pins down exactly the
+   The hash keys every cache entry, token digest, shard-affinity
+   decision and dictionary/shelve policy digest, so this suite pins down exactly the
    properties those call sites lean on: the streaming interface is a
    pure function of the concatenated byte stream (any chunking, any
    slice offsets, any input representation), the output diffuses input
    bits (avalanche), and the function can never change silently (a
    fixed-vector regression table, cross-checked against an independent
-   reimplementation of the algorithm). The MD5 backend is additionally
-   held byte-compatible with [Stdlib.Digest]. *)
+   reimplementation of the algorithm). *)
 
 module Chash = Calibro_chash.Chash
 
@@ -39,84 +38,72 @@ let bigstring_of_string s : Chash.bigstring =
   String.iteri (fun i c -> Bigarray.Array1.set a i c) s;
   a
 
-let backends : (string * (module Chash.S)) list =
-  [ ("fast", (module Chash.Fast)); ("md5", (module Chash.Md5)) ]
-
 (* Streaming over any chunking = one-shot, for every feed representation. *)
 let test_streaming_equals_oneshot () =
   let next = rng 7 in
-  List.iter
-    (fun (name, (module H : Chash.S)) ->
-      for trial = 0 to 199 do
-        let len = rand_int next 300 in
-        let s = rand_string next len in
-        let expect = H.string s in
-        (* random chunking over mixed representations *)
-        let st = H.init () in
-        let pos = ref 0 in
-        while !pos < len do
-          let n = min (len - !pos) (1 + rand_int next 17) in
-          (match rand_int next 4 with
-          | 0 -> H.feed_substring st s ~off:!pos ~len:n
-          | 1 ->
-            H.feed_subbytes st (Bytes.of_string s) ~off:!pos ~len:n
-          | 2 ->
-            H.feed_bigarray st (bigstring_of_string s) ~off:!pos ~len:n
-          | _ -> H.feed_string st (String.sub s !pos n));
-          pos := !pos + n
-        done;
-        Alcotest.(check string)
-          (Printf.sprintf "%s trial %d (len %d)" name trial len)
-          (Chash.to_hex expect)
-          (Chash.to_hex (H.finalize st))
-      done)
-    backends
+  for trial = 0 to 199 do
+    let len = rand_int next 300 in
+    let s = rand_string next len in
+    let expect = Chash.string s in
+    (* random chunking over mixed representations *)
+    let st = Chash.init () in
+    let pos = ref 0 in
+    while !pos < len do
+      let n = min (len - !pos) (1 + rand_int next 17) in
+      (match rand_int next 4 with
+      | 0 -> Chash.feed_substring st s ~off:!pos ~len:n
+      | 1 ->
+        Chash.feed_subbytes st (Bytes.of_string s) ~off:!pos ~len:n
+      | 2 ->
+        Chash.feed_bigarray st (bigstring_of_string s) ~off:!pos ~len:n
+      | _ -> Chash.feed_string st (String.sub s !pos n));
+      pos := !pos + n
+    done;
+    Alcotest.(check string)
+      (Printf.sprintf "trial %d (len %d)" trial len)
+      (Chash.to_hex expect)
+      (Chash.to_hex (Chash.finalize st))
+  done
 
 (* The hash of a slice depends only on the slice's bytes, not where the
    slice sits in its container. *)
 let test_slice_offset_independence () =
   let next = rng 11 in
-  List.iter
-    (fun (name, (module H : Chash.S)) ->
-      for trial = 0 to 99 do
-        let pad_l = rand_int next 23 and pad_r = rand_int next 23 in
-        let len = rand_int next 120 in
-        let core = rand_string next len in
-        let padded = rand_string next pad_l ^ core ^ rand_string next pad_r in
-        let expect = Chash.to_hex (H.string core) in
-        Alcotest.(check string)
-          (Printf.sprintf "%s substring trial %d" name trial)
-          expect
-          (Chash.to_hex (H.substring padded ~off:pad_l ~len));
-        Alcotest.(check string)
-          (Printf.sprintf "%s subbytes trial %d" name trial)
-          expect
-          (Chash.to_hex (H.subbytes (Bytes.of_string padded) ~off:pad_l ~len));
-        Alcotest.(check string)
-          (Printf.sprintf "%s bigarray trial %d" name trial)
-          expect
-          (Chash.to_hex
-             (H.bigarray (bigstring_of_string padded) ~off:pad_l ~len))
-      done)
-    backends
+  for trial = 0 to 99 do
+    let pad_l = rand_int next 23 and pad_r = rand_int next 23 in
+    let len = rand_int next 120 in
+    let core = rand_string next len in
+    let padded = rand_string next pad_l ^ core ^ rand_string next pad_r in
+    let expect = Chash.to_hex (Chash.string core) in
+    Alcotest.(check string)
+      (Printf.sprintf "substring trial %d" trial)
+      expect
+      (Chash.to_hex (Chash.substring padded ~off:pad_l ~len));
+    Alcotest.(check string)
+      (Printf.sprintf "subbytes trial %d" trial)
+      expect
+      (Chash.to_hex (Chash.subbytes (Bytes.of_string padded) ~off:pad_l ~len));
+    Alcotest.(check string)
+      (Printf.sprintf "bigarray trial %d" trial)
+      expect
+      (Chash.to_hex
+         (Chash.bigarray (bigstring_of_string padded) ~off:pad_l ~len))
+  done
 
 (* feed_int is exactly 8 little-endian bytes of the int. *)
 let test_feed_int_framing () =
   let next = rng 13 in
-  List.iter
-    (fun (name, (module H : Chash.S)) ->
-      for trial = 0 to 49 do
-        let v = Int64.to_int (next ()) in
-        let b = Bytes.create 8 in
-        Bytes.set_int64_le b 0 (Int64.of_int v);
-        let st = H.init () in
-        H.feed_int st v;
-        Alcotest.(check string)
-          (Printf.sprintf "%s feed_int trial %d" name trial)
-          (Chash.to_hex (H.bytes b))
-          (Chash.to_hex (H.finalize st))
-      done)
-    backends
+  for trial = 0 to 49 do
+    let v = Int64.to_int (next ()) in
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 (Int64.of_int v);
+    let st = Chash.init () in
+    Chash.feed_int st v;
+    Alcotest.(check string)
+      (Printf.sprintf "feed_int trial %d" trial)
+      (Chash.to_hex (Chash.bytes b))
+      (Chash.to_hex (Chash.finalize st))
+  done
 
 (* Avalanche smoke: over 1k random inputs, flipping one random input bit
    flips >= 40 of the 128 output bits on average (an unbiased mixer sits
@@ -144,8 +131,8 @@ let test_avalanche () =
     Bytes.set flipped (bit / 8)
       (Char.chr (Char.code s.[bit / 8] lxor (1 lsl (bit mod 8))));
     let d =
-      popcount_diff (Chash.Fast.string s)
-        (Chash.Fast.string (Bytes.to_string flipped))
+      popcount_diff (Chash.string s)
+        (Chash.string (Bytes.to_string flipped))
     in
     total := !total + d;
     if d < !worst then worst := d
@@ -169,7 +156,7 @@ let test_no_collisions () =
   let seen = Hashtbl.create 4096 in
   for i = 0 to 9999 do
     let s = Printf.sprintf "%d:%s" i (rand_string next (rand_int next 40)) in
-    let h = Chash.Fast.string s in
+    let h = Chash.string s in
     (match Hashtbl.find_opt seen h with
     | Some prior ->
       Alcotest.failf "collision between %S and %S" prior s
@@ -199,7 +186,7 @@ let test_fixed_vectors () =
            (if String.length input > 20 then String.sub input 0 20 ^ "..."
             else input))
         expect
-        (Chash.to_hex (Chash.Fast.string input)))
+        (Chash.to_hex (Chash.string input)))
     vectors
 
 (* A zero-padded tail must not collide with explicit trailing zeros. *)
@@ -209,30 +196,13 @@ let test_tail_padding_distinct () =
       Alcotest.(check bool)
         (Printf.sprintf "%S vs %S distinct" s (s ^ "\000"))
         false
-        (Chash.Fast.string s = Chash.Fast.string (s ^ "\000")))
+        (Chash.string s = Chash.string (s ^ "\000")))
     [ ""; "a"; "abcdefg"; "abcdefgh"; "abcdefgh\000\000" ]
-
-(* MD5 backend = Stdlib.Digest, bit for bit, hex for hex. *)
-let test_md5_parity () =
-  let next = rng 23 in
-  for trial = 0 to 99 do
-    let s = rand_string next (rand_int next 200) in
-    Alcotest.(check string)
-      (Printf.sprintf "md5 one-shot trial %d" trial)
-      (Digest.to_hex (Digest.string s))
-      (Chash.to_hex (Chash.Md5.string s));
-    let st = Chash.Md5.init () in
-    Chash.Md5.feed_string st s;
-    Alcotest.(check string)
-      (Printf.sprintf "md5 streaming trial %d" trial)
-      (Digest.to_hex (Digest.string s))
-      (Chash.to_hex (Chash.Md5.finalize st))
-  done
 
 let test_to_hex () =
   let next = rng 29 in
   for _ = 0 to 19 do
-    let h = Chash.Fast.string (rand_string next 10) in
+    let h = Chash.string (rand_string next 10) in
     Alcotest.(check string) "to_hex matches Digest.to_hex" (Digest.to_hex h)
       (Chash.to_hex h)
   done;
@@ -240,44 +210,20 @@ let test_to_hex () =
     (Invalid_argument "Chash.to_hex") (fun () ->
       ignore (Chash.to_hex "short"))
 
-let test_dispatcher_consistent () =
-  (* Whatever CALIBRO_HASH says, the dispatcher must agree with the
-     backend it names. *)
-  let name = Chash.backend_name () in
-  let probe = "dispatcher-probe" in
-  let expect =
-    match Chash.backend () with
-    | `Fast -> Chash.Fast.string probe
-    | `Md5 -> Chash.Md5.string probe
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "dispatch (%s) one-shot" name)
-    true
-    (Chash.string probe = expect);
-  let st = Chash.init () in
-  Chash.feed_string st probe;
-  Alcotest.(check bool)
-    (Printf.sprintf "dispatch (%s) streaming" name)
-    true
-    (Chash.finalize st = expect)
-
 (* finalize is pure: observing the digest mid-stream doesn't perturb the
    stream, and feeding may continue. *)
 let test_finalize_pure () =
-  List.iter
-    (fun (name, (module H : Chash.S)) ->
-      let st = H.init () in
-      H.feed_string st "part one|";
-      let mid1 = H.finalize st in
-      let mid2 = H.finalize st in
-      Alcotest.(check string)
-        (name ^ " finalize twice") (Chash.to_hex mid1) (Chash.to_hex mid2);
-      H.feed_string st "part two";
-      Alcotest.(check string)
-        (name ^ " continue after finalize")
-        (Chash.to_hex (H.string "part one|part two"))
-        (Chash.to_hex (H.finalize st)))
-    backends
+  let st = Chash.init () in
+  Chash.feed_string st "part one|";
+  let mid1 = Chash.finalize st in
+  let mid2 = Chash.finalize st in
+  Alcotest.(check string)
+    "finalize twice" (Chash.to_hex mid1) (Chash.to_hex mid2);
+  Chash.feed_string st "part two";
+  Alcotest.(check string)
+    "continue after finalize"
+    (Chash.to_hex (Chash.string "part one|part two"))
+    (Chash.to_hex (Chash.finalize st))
 
 let test_slice_bounds_checked () =
   List.iter
@@ -286,14 +232,14 @@ let test_slice_bounds_checked () =
         (match f () with
         | exception Invalid_argument _ -> true
         | (_ : Chash.t) -> false))
-    [ ("substring", fun () -> Chash.Fast.substring "abc" ~off:1 ~len:3);
-      ("negative off", fun () -> Chash.Fast.substring "abc" ~off:(-1) ~len:1);
-      ("negative len", fun () -> Chash.Fast.substring "abc" ~off:0 ~len:(-1));
+    [ ("substring", fun () -> Chash.substring "abc" ~off:1 ~len:3);
+      ("negative off", fun () -> Chash.substring "abc" ~off:(-1) ~len:1);
+      ("negative len", fun () -> Chash.substring "abc" ~off:0 ~len:(-1));
       ( "subbytes",
-        fun () -> Chash.Fast.subbytes (Bytes.create 4) ~off:2 ~len:3 );
+        fun () -> Chash.subbytes (Bytes.create 4) ~off:2 ~len:3 );
       ( "bigarray",
         fun () ->
-          Chash.Fast.bigarray
+          Chash.bigarray
             (Bigarray.Array1.create Bigarray.char Bigarray.c_layout 4)
             ~off:4 ~len:1 ) ]
 
@@ -311,10 +257,7 @@ let suite =
       test_fixed_vectors;
     Alcotest.test_case "zero tail padding cannot alias" `Quick
       test_tail_padding_distinct;
-    Alcotest.test_case "md5 backend = Stdlib.Digest" `Quick test_md5_parity;
     Alcotest.test_case "to_hex" `Quick test_to_hex;
-    Alcotest.test_case "CALIBRO_HASH dispatcher consistency" `Quick
-      test_dispatcher_consistent;
     Alcotest.test_case "finalize is pure and resumable" `Quick
       test_finalize_pure;
     Alcotest.test_case "slice bounds are checked" `Quick

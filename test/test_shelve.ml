@@ -13,6 +13,7 @@ open Calibro_vm
 module Shelve = Calibro_shelve.Shelve
 module Oat = Calibro_oat.Oat_file
 module Oatdump = Calibro_oat.Oatdump
+module Abi = Calibro_codegen.Abi
 module Dict = Calibro_dict.Dict
 module Profile = Calibro_profile.Profile
 module Appgen = Calibro_workload.Appgen
@@ -36,7 +37,7 @@ let m name = { Dex_ir.class_name = "t"; method_name = name }
    entry), cold [g] calls cold [h] (shelved -> shelved), and cold [fact]
    recurses (the recursive invokes land after the entry was repointed,
    so the fault must be charged exactly once). Every cold body compiles
-   well past [Shelve.stub_bytes], so the splitter really shelves it. *)
+   well past [Abi.shelf_stub_bytes], so the splitter really shelves it. *)
 let edges_src =
   header
   ^ {|.method h params #1 regs #3
@@ -105,17 +106,17 @@ let unit_tests =
   [ Alcotest.test_case "stub encode/decode round-trip" `Quick (fun () ->
         List.iter
           (fun index ->
-            let code = Shelve.stub_code ~index in
-            Alcotest.(check int) "stub size" Shelve.stub_bytes
+            let code = Abi.shelf_stub_code ~index in
+            Alcotest.(check int) "stub size" Abi.shelf_stub_bytes
               (Bytes.length code);
             Alcotest.(check (option int)) "decodes" (Some index)
-              (Shelve.decode_stub code ~offset:0))
+              (Abi.decode_shelf_stub code ~offset:0))
           [ 0; 1; 5; 1000 ];
         (* a corrupted stub must not decode *)
-        let code = Shelve.stub_code ~index:7 in
+        let code = Abi.shelf_stub_code ~index:7 in
         Bytes.set code 7 '\x00';
         Alcotest.(check (option int)) "corrupt" None
-          (Shelve.decode_stub code ~offset:0));
+          (Abi.decode_shelf_stub code ~offset:0));
     Alcotest.test_case "plan rejects nonsense coverage" `Quick (fun () ->
         List.iter
           (fun coverage ->
